@@ -124,6 +124,34 @@ void BM_ConvZoo(benchmark::State& state, kernels::Path path,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
+// Depthwise conv at NASNet's separable-conv shapes, {C, H, k, stride} with
+// pad k/2: the scalar path runs the direct loops, the vector path the
+// row-wise depthwise kernel (bitwise-equal output). Registered under the
+// BM_Conv2dDepthwise family beside its legacy fixed-path rows.
+void BM_Conv2dDepthwisePath(benchmark::State& state, kernels::Path path,
+                            const ShapeArgs& shape) {
+  ScopedPath sp(path);
+  const std::int64_t C = shape[0];
+  const std::int64_t H = shape[1];
+  const std::int64_t k = shape[2];
+  const int stride = static_cast<int>(shape[3]);
+  Rng rng(2);
+  Tensor x = Tensor::random(Shape{1, C, H, H}, rng);
+  Tensor w = Tensor::random(Shape{C, 1, k, k}, rng);
+  Conv2dParams p;
+  p.pad_h = p.pad_w = static_cast<int>(k / 2);
+  p.stride_h = p.stride_w = stride;
+  p.groups = static_cast<int>(C);
+  const std::int64_t OH = (H + 2 * (k / 2) - k) / stride + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv2d(x, w, std::nullopt, p));
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      static_cast<double>(2 * C * k * k * OH * OH) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
 void BM_ConvFusedBiasRelu(benchmark::State& state, kernels::Path path,
                           const ShapeArgs&) {
   ScopedPath sp(path);
@@ -295,6 +323,11 @@ void register_kernel_benchmarks() {
                   {64, 128, 56, 2},    // ResNet downsample
                   {48, 192, 27, 1}});  // SqueezeNet expand3x3
   register_paths("BM_ConvFusedBiasRelu", BM_ConvFusedBiasRelu);
+  register_paths("BM_Conv2dDepthwise", BM_Conv2dDepthwisePath,
+                 {{4, 48, 3, 1}, {4, 48, 5, 1}, {4, 48, 7, 1},
+                  {8, 24, 3, 1}, {8, 24, 5, 1}, {8, 24, 7, 1},
+                  {16, 12, 3, 1}, {16, 12, 5, 1}, {16, 12, 7, 1},
+                  {4, 48, 5, 2}});  // NASNet cells; last: reduction stride
   register_dtypes("BM_SGEMMDtype", BM_SGEMMDtype,
                   {{256, 256, 256},     // i8-vs-f32 acceptance shape (>= 2x)
                    {128, 768, 768},     // BERT-base QKV/output projection

@@ -2,16 +2,67 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <unordered_map>
 
+#include "graph/op_eval.h"
 #include "support/check.h"
 #include "support/string_util.h"
 
 namespace ramiel {
 namespace {
 
-// We reserve the empty (rank-0) shape as "unknown". True scalars only occur
-// as constants, which always carry explicit shapes from their Tensor.
-bool known(const Value& v) { return v.shape.rank() > 0 || v.is_constant(); }
+// Values of at most this many elements whose inputs are all compile-time
+// data are evaluated during inference, so shape arithmetic (Shape ->
+// Gather -> Concat -> Reshape) and constant scalar side branches resolve
+// without folding the graph.
+constexpr std::int64_t kMaxEvalElements = 64;
+
+/// One inference walk over a graph it does not modify. The graph cannot
+/// tell a true scalar (rank 0) from an unknown shape (also stored as rank
+/// 0), so the walk keeps its own record of what it derived.
+class Walk {
+ public:
+  explicit Walk(const Graph& g)
+      : g_(g), inferred_(g.values().size()) {
+    for (NodeId id : g.topo_order()) visit(g.node(id));
+  }
+
+  /// True when the value's shape is static: a constant, a shape the graph
+  /// already carries (rank > 0), or a shape this walk derived.
+  bool known(ValueId v) const {
+    const Value& val = g_.value(v);
+    return val.shape.rank() > 0 || val.is_constant() ||
+           inferred_[static_cast<std::size_t>(v)].has_value();
+  }
+
+  const Shape& shape(ValueId v) const {
+    const auto& s = inferred_[static_cast<std::size_t>(v)];
+    return s ? *s : g_.value(v).shape;
+  }
+
+  /// The value's data when it is known at compile time: initializer or
+  /// folded constant data, or a small value evaluated by this walk.
+  const Tensor* data(ValueId v) const {
+    const Value& val = g_.value(v);
+    if (val.const_data) return &*val.const_data;
+    auto it = evaluated_.find(v);
+    return it == evaluated_.end() ? nullptr : &it->second;
+  }
+
+  /// Shapes this walk derived for values whose shape was unknown.
+  const std::vector<std::optional<Shape>>& inferred() const {
+    return inferred_;
+  }
+
+ private:
+  void visit(const Node& n);
+  std::optional<std::vector<Tensor>> evaluate(const Node& n) const;
+
+  const Graph& g_;
+  std::vector<std::optional<Shape>> inferred_;
+  std::unordered_map<ValueId, Tensor> evaluated_;
+};
 
 std::optional<Shape> broadcast(const Shape& a, const Shape& b) {
   int rank = std::max(a.rank(), b.rank());
@@ -27,17 +78,15 @@ std::optional<Shape> broadcast(const Shape& a, const Shape& b) {
 
 /// Infers the output shapes of one node. Returns empty vector when the
 /// shape cannot (yet) be determined statically.
-std::vector<Shape> infer_node(const Graph& g, const Node& n) {
+std::vector<Shape> infer_node(const Graph& g, const Walk& w, const Node& n) {
   auto in_shape = [&](std::size_t i) -> const Shape& {
-    return g.value(n.inputs[i]).shape;
+    return w.shape(n.inputs[i]);
   };
   auto in_known = [&](std::size_t i) {
-    return i < n.inputs.size() && known(g.value(n.inputs[i]));
+    return i < n.inputs.size() && w.known(n.inputs[i]);
   };
   auto in_const = [&](std::size_t i) -> const Tensor* {
-    if (i >= n.inputs.size()) return nullptr;
-    const Value& v = g.value(n.inputs[i]);
-    return v.const_data ? &*v.const_data : nullptr;
+    return i < n.inputs.size() ? w.data(n.inputs[i]) : nullptr;
   };
 
   switch (n.kind) {
@@ -209,7 +258,7 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
           target.push_back(static_cast<std::int64_t>(std::llround(f)));
         }
       } else {
-        return {};  // data-dependent reshape; resolved after folding
+        return {};  // data-dependent reshape
       }
       const Shape& is = in_shape(0);
       std::int64_t knownp = 1;
@@ -281,34 +330,78 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
   return {};
 }
 
+std::optional<std::vector<Tensor>> Walk::evaluate(const Node& n) const {
+  if (n.kind == OpKind::kShape) {
+    // Needs only the input's shape, not its data.
+    if (n.inputs.empty() || !known(n.inputs[0])) return std::nullopt;
+    std::vector<float> dims;
+    for (std::int64_t d : shape(n.inputs[0]).dims()) {
+      dims.push_back(static_cast<float>(d));
+    }
+    return std::vector<Tensor>{Tensor::vec(std::move(dims))};
+  }
+  if (n.kind == OpKind::kConstant || n.inputs.empty()) return std::nullopt;
+  std::vector<Tensor> inputs;
+  for (ValueId in : n.inputs) {
+    const Tensor* t = data(in);
+    if (t == nullptr || t->numel() > kMaxEvalElements) return std::nullopt;
+    inputs.push_back(*t);
+  }
+  try {
+    return eval_node(n, inputs);
+  } catch (const Error&) {
+    return std::nullopt;  // best effort: fall back to the shape rules
+  }
+}
+
+void Walk::visit(const Node& n) {
+  std::vector<Shape> shapes;
+  if (auto outs = evaluate(n)) {
+    for (std::size_t i = 0; i < outs->size() && i < n.outputs.size(); ++i) {
+      Tensor& t = (*outs)[i];
+      shapes.push_back(t.shape());
+      if (t.numel() <= kMaxEvalElements) {
+        evaluated_.emplace(n.outputs[i], std::move(t));
+      }
+    }
+  } else {
+    shapes = infer_node(g_, *this, n);
+  }
+  if (shapes.empty()) return;
+  RAMIEL_CHECK(shapes.size() == n.outputs.size(),
+               str_cat("inference produced wrong output count for node '",
+                       n.name, "'"));
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const ValueId v = n.outputs[i];
+    if (!known(v)) inferred_[static_cast<std::size_t>(v)] = shapes[i];
+  }
+}
+
 }  // namespace
 
 int infer_shapes(Graph& graph) {
+  const Walk walk(graph);
   int filled = 0;
-  for (NodeId id : graph.topo_order()) {
-    const Node& n = graph.node(id);
-    std::vector<Shape> shapes = infer_node(graph, n);
-    if (shapes.empty()) continue;
-    RAMIEL_CHECK(shapes.size() == n.outputs.size(),
-                 str_cat("inference produced wrong output count for node '",
-                         n.name, "'"));
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      Value& v = graph.value(n.outputs[i]);
-      if (!known(v)) {
-        v.shape = shapes[i];
-        ++filled;
-      }
+  for (std::size_t v = 0; v < walk.inferred().size(); ++v) {
+    const auto& s = walk.inferred()[v];
+    if (!s) continue;
+    Value& val = graph.value(static_cast<ValueId>(v));
+    // A derived scalar stays stored as rank 0, which is already its shape.
+    if (val.shape != *s) {
+      val.shape = *s;
+      ++filled;
     }
   }
   return filled;
 }
 
 void require_static_shapes(const Graph& graph) {
+  const Walk walk(graph);
   for (const Node& n : graph.nodes()) {
     if (n.dead) continue;
     for (ValueId out : n.outputs) {
-      const Value& v = graph.value(out);
-      if (!known(v)) {
+      if (!walk.known(out)) {
+        const Value& v = graph.value(out);
         throw ValidationError(str_cat("value '", v.name, "' (node '", n.name,
                                       "') has no static shape"));
       }

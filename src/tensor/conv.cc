@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include "obs/metrics.h"
 #include "support/check.h"
 #include "support/string_util.h"
@@ -12,6 +15,9 @@ struct ConvMetrics {
   obs::Counter* vector = obs::registry().counter(
       "ramiel_kernel_conv_vector_total",
       "conv2d calls lowered to implicit GEMM (vector path)");
+  obs::Counter* depthwise = obs::registry().counter(
+      "ramiel_kernel_conv_depthwise_total",
+      "depthwise conv2d calls run by the row-wise vector path");
   obs::Counter* scalar = obs::registry().counter(
       "ramiel_kernel_conv_scalar_total",
       "conv2d calls executed by the direct scalar loops");
@@ -32,7 +38,7 @@ struct ConvDims {
 };
 
 // Direct 7-loop convolution: the portable reference, and the production
-// path for depthwise/grouped convs where the im2col matrix degenerates
+// path for grouped convs with Cg > 1 where the im2col matrix degenerates
 // (Cg*R*S is tiny, so GEMM lowering only adds packing traffic).
 void conv2d_direct(const ConvDims& d, const Conv2dParams& p, const float* in,
                    const float* wt, const float* bptr, float* dst,
@@ -67,6 +73,72 @@ void conv2d_direct(const ConvDims& d, const Conv2dParams& p, const float* in,
               }
               dst[static_cast<std::size_t>(((n * d.K + k) * d.OH + oh) * d.OW +
                                            ow)] = acc;
+            }
+          }
+        }
+      });
+  if (p.act != kernels::Activation::kNone) {
+    kernels::apply_activation(p.act, dst, d.N * d.K * d.OH * d.OW);
+  }
+}
+
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+// Depthwise convolution (Cg == 1): output plane k reads only input channel
+// k / (K / groups). Each output row starts at the bias, then takes one
+// shifted, scaled input row per in-bounds (r, s) tap. The in-bounds
+// columns of tap s form one contiguous ow range, so the inner loop has no
+// bounds checks and vectorizes. Every element still sums its taps in
+// conv2d_direct's (r, s) order, skipping padding taps, with a separate
+// multiply and add: the result is bitwise equal to the direct loops.
+void conv2d_depthwise(const ConvDims& d, const Conv2dParams& p,
+                      const float* in, const float* wt, const float* bptr,
+                      float* dst, const OpContext& ctx) {
+  const std::int64_t mult = d.K / p.groups;
+  const std::int64_t sw = p.stride_w;
+  // Tap s reads input column ow * sw + col_off[s], in bounds exactly for
+  // ow in [ow_lo[s], ow_hi[s]).
+  std::vector<std::int64_t> col_off(static_cast<std::size_t>(d.S));
+  std::vector<std::int64_t> ow_lo(col_off.size()), ow_hi(col_off.size());
+  for (std::size_t s = 0; s < col_off.size(); ++s) {
+    col_off[s] = static_cast<std::int64_t>(s) * p.dilation_w - p.pad_w;
+    ow_lo[s] = std::clamp<std::int64_t>(-floor_div(col_off[s], sw), 0, d.OW);
+    ow_hi[s] = std::clamp<std::int64_t>(
+        floor_div(d.W - 1 - col_off[s], sw) + 1, ow_lo[s], d.OW);
+  }
+  dispatch_parallel_for(
+      ctx, d.N * d.K, 2 * d.OH * d.OW * d.R * d.S,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t nk = lo; nk < hi; ++nk) {
+          const std::int64_t n = nk / d.K;
+          const std::int64_t k = nk % d.K;
+          const float* plane = in + (n * d.C + k / mult) * d.H * d.W;
+          const float* w = wt + k * d.R * d.S;
+          const float b = bptr ? bptr[k] : 0.0f;
+          for (std::int64_t oh = 0; oh < d.OH; ++oh) {
+            float* orow = dst + (nk * d.OH + oh) * d.OW;
+            std::fill(orow, orow + d.OW, b);
+            for (std::int64_t r = 0; r < d.R; ++r) {
+              const std::int64_t ih =
+                  oh * p.stride_h - p.pad_h + r * p.dilation_h;
+              if (ih < 0 || ih >= d.H) continue;
+              for (std::size_t s = 0; s < col_off.size(); ++s) {
+                const std::int64_t len = ow_hi[s] - ow_lo[s];
+                if (len <= 0) continue;
+                const float wv = w[r * d.S + static_cast<std::int64_t>(s)];
+                const float* __restrict src =
+                    plane + ih * d.W + ow_lo[s] * sw + col_off[s];
+                float* __restrict o = orow + ow_lo[s];
+                if (sw == 1) {
+                  for (std::int64_t i = 0; i < len; ++i) o[i] += src[i] * wv;
+                } else {
+                  for (std::int64_t i = 0; i < len; ++i) {
+                    o[i] += src[i * sw] * wv;
+                  }
+                }
+              }
             }
           }
         }
@@ -202,10 +274,11 @@ Tensor conv2d(const Tensor& input, const Tensor& weight,
                  "conv2d: i8 weights need per-output-channel scales (axis 0)");
   }
 
-  // Grouped/depthwise convs keep the direct loops (their im2col panels are
-  // too skinny to amortize packing); dense convs lower to implicit GEMM on
-  // the vector path.
-  if (p.groups == 1 && kernels::active_path() == kernels::Path::kVector) {
+  // Dense convs lower to implicit GEMM and depthwise convs take the
+  // row-wise path on the vector path; grouped convs with Cg > 1 keep the
+  // direct loops (their im2col panels are too skinny to amortize packing).
+  const bool vector = kernels::active_path() == kernels::Path::kVector;
+  if (p.groups == 1 && vector) {
     conv_metrics().vector->inc();
     float act_absmax = p.act_absmax;
     if (quantized && act_absmax < 0.0f) {
@@ -219,11 +292,12 @@ Tensor conv2d(const Tensor& input, const Tensor& weight,
     return out;
   }
 
-  conv_metrics().scalar->inc();
-  // The direct path is the fp32 reference: widen/dequantize the weights and
-  // stage a non-f32 output through an fp32 buffer. The alloc sink is
-  // bypassed for the fp32 temporaries so they can never claim a planned
-  // output slot.
+  const bool depthwise = vector && d.Cg == 1;
+  (depthwise ? conv_metrics().depthwise : conv_metrics().scalar)->inc();
+  const auto run = depthwise ? conv2d_depthwise : conv2d_direct;
+  // Both fp32 paths widen/dequantize the weights and stage a non-f32
+  // output through an fp32 buffer. The alloc sink is bypassed for the fp32
+  // temporaries so they can never claim a planned output slot.
   std::vector<float> wt_up;
   Tensor wt_f32;
   const float* wt;
@@ -241,10 +315,10 @@ Tensor conv2d(const Tensor& input, const Tensor& weight,
     wt = wt_up.data();
   }
   if (p.out_dtype == DType::kF32) {
-    conv2d_direct(d, p, in, wt, bptr, out.mutable_data().data(), ctx);
+    run(d, p, in, wt, bptr, out.mutable_data().data(), ctx);
   } else {
     std::vector<float> dst_f32(static_cast<std::size_t>(out.numel()));
-    conv2d_direct(d, p, in, wt, bptr, dst_f32.data(), ctx);
+    run(d, p, in, wt, bptr, dst_f32.data(), ctx);
     convert_f32_to_storage(dst_f32.data(), out.raw_mut(), p.out_dtype,
                            dst_f32.size());
   }

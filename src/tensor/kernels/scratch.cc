@@ -1,5 +1,7 @@
 #include "tensor/kernels/scratch.h"
 
+#include <cstdint>
+
 #include "obs/metrics.h"
 #include "tensor/tensor.h"
 
@@ -32,8 +34,14 @@ KernelScratch::KernelScratch(std::size_t numel) : numel_(numel) {
       return;
     }
   }
-  heap_.resize(numel_);
-  ptr_ = heap_.data();
+  // Cache-line align the heap blob like arena scratch: a 16-byte-aligned
+  // vector leaves kernel speed to wherever the allocator lands it (on a
+  // 4-core AVX-512 Xeon, 1 KiB more of earlier heap allocations slowed
+  // SqueezeNet's heap-only sequential run by ~15%).
+  constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  heap_.resize(numel_ + kLineFloats - 1);
+  const auto addr = reinterpret_cast<std::uintptr_t>(heap_.data());
+  ptr_ = heap_.data() + (64 - addr % 64) % 64 / sizeof(float);
   metrics().heap->inc();
 }
 

@@ -2,10 +2,11 @@
 //
 // Acquisition order: the calling thread's AllocSink (when the executor has
 // installed one, scratch comes from the worker's persistent MemArena —
-// see src/mem/arena.h), else a heap vector. Kernels compute their total
-// workspace up front and take it in ONE acquisition, then subdivide — a
-// single take keeps the arena bump allocator trivially LIFO and means a
-// mid-kernel arena grow can never dangle an earlier sub-buffer.
+// see src/mem/arena.h), else a cache-line-aligned heap vector. Kernels
+// compute their total workspace up front and take it in ONE acquisition,
+// then subdivide — a single take keeps the arena bump allocator trivially
+// LIFO and means a mid-kernel arena grow can never dangle an earlier
+// sub-buffer.
 #pragma once
 
 #include <cstddef>

@@ -7,12 +7,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "mem/arena.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
+#include "support/string_util.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/scratch.h"
 #include "tensor/ops.h"
@@ -226,6 +229,152 @@ TEST(ConvEquivalence, RandomizedShapesWithThreads) {
 }
 
 // ---------------------------------------------------------------------------
+// Depthwise path: on the vector path Cg == 1 convs run row-wise, but each
+// output element still sums its taps in the direct loops' (r, s) order with
+// no FMA, so the two paths must agree BITWISE, not just within kTol.
+// ---------------------------------------------------------------------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && a.dtype() == b.dtype() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.byte_size())) == 0;
+}
+
+struct DwCase {
+  std::int64_t N, C, mult, H, W, k;
+  int stride_h, stride_w, pad_h, pad_w, dilation;
+};
+
+Conv2dParams dw_params(const DwCase& c) {
+  Conv2dParams p;
+  p.stride_h = c.stride_h;
+  p.stride_w = c.stride_w;
+  p.pad_h = c.pad_h;
+  p.pad_w = c.pad_w;
+  p.dilation_h = p.dilation_w = c.dilation;
+  p.groups = static_cast<int>(c.C);
+  return p;
+}
+
+std::string dw_label(const DwCase& c) {
+  return str_cat("N=", c.N, " C=", c.C, " x", c.mult, " ", c.H, "x", c.W,
+                 " k=", c.k, " s=", c.stride_h, "/", c.stride_w,
+                 " p=", c.pad_h, "/", c.pad_w, " d=", c.dilation);
+}
+
+const DwCase kDwCases[] = {
+    {1, 8, 1, 12, 12, 3, 1, 1, 1, 1, 1},  // k3
+    {1, 8, 1, 13, 11, 3, 2, 2, 1, 1, 1},  // k3 stride 2, odd plane
+    {1, 6, 1, 12, 12, 5, 1, 1, 2, 2, 1},  // k5
+    {1, 6, 1, 15, 15, 5, 2, 2, 2, 2, 1},  // k5 stride 2
+    {1, 4, 1, 14, 14, 7, 1, 1, 3, 3, 1},  // k7
+    {1, 4, 1, 17, 16, 7, 2, 2, 3, 3, 1},  // k7 stride 2
+    {1, 5, 1, 12, 12, 3, 1, 1, 2, 2, 2},  // dilation 2
+    {1, 5, 1, 11, 13, 5, 2, 2, 4, 4, 2},  // dilation 2, stride 2
+    {1, 4, 1, 10, 10, 7, 1, 1, 1, 1, 1},  // pad smaller than k/2
+    {1, 4, 1, 9, 9, 5, 2, 2, 0, 0, 1},    // no padding, stride 2
+    {1, 3, 1, 2, 3, 5, 1, 1, 2, 2, 1},    // plane narrower than the kernel
+    {1, 3, 1, 3, 2, 7, 2, 2, 3, 3, 1},    // narrower still, stride 2
+    {1, 4, 1, 9, 10, 3, 1, 2, 0, 1, 1},   // asymmetric stride and pad
+    {2, 4, 2, 9, 9, 3, 1, 1, 1, 1, 1},    // channel multiplier 2, batch 2
+    {2, 3, 2, 10, 8, 5, 2, 2, 2, 2, 1},   // multiplier 2, batch 2, stride 2
+};
+
+TEST(DepthwiseConv, BitwiseEqualToDirectLoopsAcrossShapes) {
+  Rng rng(19);
+  int i = 0;
+  for (const DwCase& c : kDwCases) {
+    Tensor x = Tensor::random(Shape{c.N, c.C, c.H, c.W}, rng);
+    Tensor w = Tensor::random(Shape{c.C * c.mult, 1, c.k, c.k}, rng);
+    std::optional<Tensor> bias;
+    if (i++ % 2 == 0) bias = Tensor::random(Shape{c.C * c.mult}, rng);
+    const Conv2dParams p = dw_params(c);
+    Tensor scalar = run_conv(kernels::Path::kScalar, x, w, bias, p);
+    Tensor vec = run_conv(kernels::Path::kVector, x, w, bias, p);
+    EXPECT_TRUE(bitwise_equal(vec, scalar)) << dw_label(c);
+  }
+}
+
+TEST(DepthwiseConv, FusedActivationIsBitwiseEqual) {
+  Rng rng(20);
+  for (const DwCase& c : {kDwCases[1], kDwCases[6], kDwCases[13]}) {
+    Tensor x = Tensor::random(Shape{c.N, c.C, c.H, c.W}, rng);
+    Tensor w = Tensor::random(Shape{c.C * c.mult, 1, c.k, c.k}, rng);
+    Tensor bias = Tensor::random(Shape{c.C * c.mult}, rng);
+    for (kernels::Activation act :
+         {kernels::Activation::kRelu, kernels::Activation::kSigmoid}) {
+      Conv2dParams p = dw_params(c);
+      p.act = act;
+      Tensor scalar = run_conv(kernels::Path::kScalar, x, w, bias, p);
+      Tensor vec = run_conv(kernels::Path::kVector, x, w, bias, p);
+      EXPECT_TRUE(bitwise_equal(vec, scalar))
+          << dw_label(c) << " act=" << static_cast<int>(act);
+    }
+  }
+}
+
+TEST(DepthwiseConv, HalfStorageIsBitwiseEqual) {
+  Rng rng(21);
+  for (const DwCase& c : {kDwCases[3], kDwCases[10], kDwCases[14]}) {
+    Tensor x = Tensor::random(Shape{c.N, c.C, c.H, c.W}, rng).cast(DType::kF16);
+    Tensor w = Tensor::random(Shape{c.C * c.mult, 1, c.k, c.k}, rng)
+                   .cast(DType::kF16);
+    Tensor bias = Tensor::random(Shape{c.C * c.mult}, rng);
+    Conv2dParams p = dw_params(c);
+    p.out_dtype = DType::kF16;
+    p.act = kernels::Activation::kRelu;
+    Tensor scalar = run_conv(kernels::Path::kScalar, x, w, bias, p);
+    Tensor vec = run_conv(kernels::Path::kVector, x, w, bias, p);
+    EXPECT_EQ(vec.dtype(), DType::kF16);
+    EXPECT_TRUE(bitwise_equal(vec, scalar)) << dw_label(c);
+  }
+}
+
+TEST(DepthwiseConv, ThreadPoolContextIsBitwiseEqual) {
+  Rng rng(22);
+  ThreadPool pool(3);
+  OpContext ctx{4, &pool};
+  // 2 x 48 planes of 2 * 24 * 24 * 9 flops each: well above the dispatch
+  // threshold, so the planes really split across the pool.
+  const DwCase c{2, 24, 2, 24, 24, 3, 1, 1, 1, 1, 1};
+  Tensor x = Tensor::random(Shape{c.N, c.C, c.H, c.W}, rng);
+  Tensor w = Tensor::random(Shape{c.C * c.mult, 1, c.k, c.k}, rng);
+  Tensor bias = Tensor::random(Shape{c.C * c.mult}, rng);
+  const Conv2dParams p = dw_params(c);
+  Tensor serial = run_conv(kernels::Path::kScalar, x, w, bias, p);
+  Tensor scalar = run_conv(kernels::Path::kScalar, x, w, bias, p, ctx);
+  Tensor vec = run_conv(kernels::Path::kVector, x, w, bias, p, ctx);
+  EXPECT_TRUE(bitwise_equal(scalar, serial));
+  EXPECT_TRUE(bitwise_equal(vec, serial));
+}
+
+TEST(DepthwiseConv, CountersNameThePathThatRan) {
+  auto count = [](const char* name) {
+    return obs::registry().counter(name, "")->value();
+  };
+  Rng rng(23);
+  const DwCase c = kDwCases[0];
+  Tensor x = Tensor::random(Shape{c.N, c.C, c.H, c.W}, rng);
+  Tensor dw = Tensor::random(Shape{c.C, 1, c.k, c.k}, rng);
+  Tensor grouped = Tensor::random(Shape{c.C, 2, c.k, c.k}, rng);
+  const Conv2dParams p = dw_params(c);
+  Conv2dParams pg = p;
+  pg.groups = static_cast<int>(c.C / 2);
+
+  const std::uint64_t dw0 = count("ramiel_kernel_conv_depthwise_total");
+  const std::uint64_t sc0 = count("ramiel_kernel_conv_scalar_total");
+  run_conv(kernels::Path::kVector, x, dw, std::nullopt, p);
+  EXPECT_EQ(count("ramiel_kernel_conv_depthwise_total"), dw0 + 1);
+  EXPECT_EQ(count("ramiel_kernel_conv_scalar_total"), sc0);
+  // The scalar counter keeps meaning "ran the direct loops": the scalar
+  // path, and grouped convs with Cg > 1 on the vector path.
+  run_conv(kernels::Path::kScalar, x, dw, std::nullopt, p);
+  run_conv(kernels::Path::kVector, x, grouped, std::nullopt, pg);
+  EXPECT_EQ(count("ramiel_kernel_conv_depthwise_total"), dw0 + 1);
+  EXPECT_EQ(count("ramiel_kernel_conv_scalar_total"), sc0 + 2);
+}
+
+// ---------------------------------------------------------------------------
 // Scratch plumbing: the arena is an optimization, never a correctness
 // dependency — results must be BIT-identical with and without it.
 // ---------------------------------------------------------------------------
@@ -271,6 +420,18 @@ TEST(KernelScratch, FallsBackToHeapWithoutSink) {
   ASSERT_NE(s.data(), nullptr);
   // The blob must be writable over its full extent.
   for (std::size_t i = 0; i < s.numel(); ++i) s.data()[i] = 1.0f;
+}
+
+TEST(KernelScratch, HeapFallbackIsCacheLineAligned) {
+  // Like arena scratch, so kernel speed does not depend on where the
+  // allocator happens to place the blob.
+  std::vector<std::unique_ptr<kernels::KernelScratch>> held;
+  for (std::size_t n : {1, 3, 17, 100, 1000, 4097}) {
+    held.push_back(std::make_unique<kernels::KernelScratch>(n));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(held.back()->data()) % 64, 0u)
+        << n;
+    for (std::size_t i = 0; i < n; ++i) held.back()->data()[i] = 1.0f;
+  }
 }
 
 TEST(KernelScratch, NestedAcquisitionDeclinesToHeapInsteadOfGrowing) {

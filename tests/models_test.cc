@@ -7,6 +7,7 @@
 #include "passes/constant_folding.h"
 #include "models/zoo.h"
 #include "passes/analysis.h"
+#include "ramiel/pipeline.h"
 #include "support/check.h"
 
 namespace ramiel {
@@ -52,6 +53,14 @@ TEST_P(AllModels, ShapesAreStaticAfterFolding) {
       }
     }
   }
+}
+
+TEST_P(AllModels, CompiledGraphHasStaticShapesWithoutFolding) {
+  // Default options do not fold constants; shape inference evaluates the
+  // shape arithmetic and constant scalar branches itself, so every
+  // non-constant output has a static shape and the memory plan can size it.
+  CompiledModel cm = compile_model(models::build(GetParam()), {});
+  EXPECT_NO_THROW(require_static_shapes(cm.graph));
 }
 
 TEST_P(AllModels, ParallelismFactorIsPositive) {

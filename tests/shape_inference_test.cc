@@ -111,7 +111,7 @@ TEST(ShapeInference, ReshapeFromConstInput) {
   EXPECT_EQ(g.value(g.node(n).outputs[0]).shape, Shape({4, 3}));
 }
 
-TEST(ShapeInference, DynamicReshapeStaysUnknownUntilFoldable) {
+TEST(ShapeInference, ReshapeOfOwnShapeResolvesWithoutFolding) {
   Graph g("t");
   ValueId x = g.add_value("x", Shape{2, 6});
   g.mark_input(x);
@@ -119,10 +119,65 @@ TEST(ShapeInference, DynamicReshapeStaysUnknownUntilFoldable) {
   NodeId r = g.add_node(OpKind::kReshape, "r", {x, g.node(shp).outputs[0]});
   g.mark_output(g.node(r).outputs[0]);
   infer_shapes(g);
-  // Shape node output is [2] (rank), reshape output unknown (rank 0).
   EXPECT_EQ(g.value(g.node(shp).outputs[0]).shape, Shape({2}));
+  EXPECT_EQ(g.value(g.node(r).outputs[0]).shape, Shape({2, 6}));
+  EXPECT_NO_THROW(require_static_shapes(g));
+  // Inference evaluates the Shape node for itself; the graph keeps it.
+  EXPECT_FALSE(g.node(shp).dead);
+  EXPECT_FALSE(g.value(g.node(shp).outputs[0]).is_constant());
+}
+
+TEST(ShapeInference, ShapeGatherConcatChainResolves) {
+  Graph g("t");
+  ValueId x = g.add_value("x", Shape{2, 3, 4});
+  g.mark_input(x);
+  ValueId idx = g.add_initializer("idx", Tensor::vec({0}));
+  ValueId rest = g.add_initializer("rest", Tensor::vec({-1}));
+  NodeId shp = g.add_node(OpKind::kShape, "s", {x});
+  NodeId gat = g.add_node(OpKind::kGather, "g",
+                          {g.node(shp).outputs[0], idx}, 1,
+                          Attrs{}.set("axis", 0));
+  NodeId cat = g.add_node(OpKind::kConcat, "c",
+                          {g.node(gat).outputs[0], rest}, 1,
+                          Attrs{}.set("axis", 0));
+  NodeId r = g.add_node(OpKind::kReshape, "r", {x, g.node(cat).outputs[0]});
+  g.mark_output(g.node(r).outputs[0]);
+  infer_shapes(g);
+  EXPECT_EQ(g.value(g.node(cat).outputs[0]).shape, Shape({2}));
+  EXPECT_EQ(g.value(g.node(r).outputs[0]).shape, Shape({2, 12}));
+  EXPECT_NO_THROW(require_static_shapes(g));
+}
+
+TEST(ShapeInference, DataDependentReshapeStaysUnknown) {
+  Graph g("t");
+  ValueId x = g.add_value("x", Shape{2, 6});
+  ValueId target = g.add_value("target", Shape{2});
+  g.mark_input(x);
+  g.mark_input(target);
+  NodeId r = g.add_node(OpKind::kReshape, "r", {x, target});
+  g.mark_output(g.node(r).outputs[0]);
+  EXPECT_EQ(infer_shapes(g), 0);
   EXPECT_EQ(g.value(g.node(r).outputs[0]).shape.rank(), 0);
   EXPECT_THROW(require_static_shapes(g), ValidationError);
+}
+
+TEST(ShapeInference, ConstantScalarSideBranchIsStatic) {
+  // x + exp(0.01 * 2): the scalar branch computes from constants only.
+  Graph g("t");
+  ValueId x = g.add_value("x", Shape{1, 3, 4, 4});
+  g.mark_input(x);
+  ValueId a = g.add_initializer("a", Tensor::scalar(0.01f));
+  ValueId b = g.add_initializer("b", Tensor::scalar(2.0f));
+  NodeId mul = g.add_node(OpKind::kMul, "mul", {a, b});
+  NodeId ex = g.add_node(OpKind::kExp, "exp", {g.node(mul).outputs[0]});
+  NodeId add = g.add_node(OpKind::kAdd, "add", {x, g.node(ex).outputs[0]});
+  g.mark_output(g.node(add).outputs[0]);
+  infer_shapes(g);
+  EXPECT_EQ(g.value(g.node(add).outputs[0]).shape, Shape({1, 3, 4, 4}));
+  EXPECT_EQ(g.value(g.node(ex).outputs[0]).shape.rank(), 0);
+  EXPECT_FALSE(g.value(g.node(ex).outputs[0]).is_constant());
+  EXPECT_NO_THROW(require_static_shapes(g));
+  EXPECT_EQ(infer_shapes(g), 0);  // a derived scalar is not re-counted
 }
 
 TEST(ShapeInference, UnsqueezeSqueeze) {
