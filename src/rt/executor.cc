@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "graph/op_eval.h"
+#include "mem/planner.h"
 #include "obs/metrics.h"
 #include "rt/exec_util.h"
 #include "support/check.h"
@@ -74,7 +75,30 @@ void record_run_metrics(const std::vector<WorkerProfile>& wps,
 
 SequentialExecutor::SequentialExecutor(const Graph* graph) : graph_(graph) {
   RAMIEL_CHECK(graph != nullptr, "graph must not be null");
-  order_ = graph->topo_order();
+  order_ = graph->topo_order();  // live nodes only
+  is_output_.assign(graph->values().size(), 0);
+  for (ValueId ov : graph->outputs()) {
+    is_output_[static_cast<std::size_t>(ov)] = 1;
+  }
+
+  // One worker running the whole graph for one sample: the planner's
+  // single-stream case, reused for every sample.
+  Hyperclustering hc;
+  hc.num_nodes = static_cast<int>(graph->nodes().size());
+  hc.worker_of.assign(static_cast<std::size_t>(hc.num_nodes), -1);
+  hc.workers.emplace_back();
+  for (NodeId id : order_) {
+    hc.workers[0].push_back(HyperTask{id, 0});
+    hc.worker_of[static_cast<std::size_t>(id)] = 0;
+  }
+  const mem::MemPlan plan = mem::plan_memory(*graph, hc);
+  planned_bytes_ = plan.peak_bytes;
+  slots_ = rt::SlotTable(*graph, plan);
+}
+
+std::size_t SequentialExecutor::arena_bytes_allocated() const {
+  std::lock_guard<std::mutex> lk(arena_mu_);
+  return arena_.capacity_bytes() + arena_.scratch_capacity_bytes();
 }
 
 std::vector<TensorMap> SequentialExecutor::run(
@@ -92,16 +116,34 @@ std::vector<TensorMap> SequentialExecutor::run(
     ctx.pool = pool.get();
   }
 
+  // The arena backs one run at a time; a concurrent caller computes the
+  // same bits on the heap.
+  std::unique_lock<std::mutex> arena_lock(arena_mu_, std::try_to_lock);
+  const bool planned = arena_lock.owns_lock();
+  mem::SlotSink sink;
+  float* arena_base = nullptr;
+  if (planned) {
+    if (arena_.ensure(static_cast<std::size_t>(planned_bytes_))) {
+      rt_metrics().arena_grows->inc();
+    }
+    arena_base = arena_.data();
+    sink.set_scratch_arena(&arena_);
+  }
+
   Stopwatch wall;
   const std::int64_t run_t0 = Stopwatch::now_ns();
   std::vector<TensorMap> results(static_cast<std::size_t>(batch));
   WorkerProfile wp;
   std::vector<TaskEvent> events;
+  // Per-sample value table. Planned entries point into the arena and are
+  // rewritten by the next sample before they are read again.
+  std::vector<Tensor> values(g.values().size());
+  std::vector<Tensor> inputs;
 
   for (int s = 0; s < batch; ++s) {
-    std::unordered_map<ValueId, Tensor> local;
-    collect_static_outputs(g, batch_inputs[static_cast<std::size_t>(s)],
-                           &results[static_cast<std::size_t>(s)]);
+    const TensorMap& sample_in = batch_inputs[static_cast<std::size_t>(s)];
+    TensorMap& out = results[static_cast<std::size_t>(s)];
+    collect_static_outputs(g, sample_in, &out);
     for (NodeId id : order_) {
       const Node& n = g.node(id);
       // Constant nodes carry their payload on the output value; consumers
@@ -110,22 +152,18 @@ std::vector<TensorMap> SequentialExecutor::run(
         ++wp.tasks;
         continue;
       }
-      std::vector<Tensor> inputs;
-      inputs.reserve(n.inputs.size());
+      inputs.clear();
       for (ValueId v : n.inputs) {
         Tensor t;
-        if (!fetch_static_input(g, v, batch_inputs[static_cast<std::size_t>(s)],
-                                &t)) {
-          auto it = local.find(v);
-          RAMIEL_CHECK(it != local.end(),
-                       str_cat("value '", g.value(v).name,
-                               "' not yet computed (topo order violated)"));
-          t = it->second;
+        if (!fetch_static_input(g, v, sample_in, &t)) {
+          t = values[static_cast<std::size_t>(v)];
         }
         inputs.push_back(std::move(t));
       }
       const std::int64_t t0 = Stopwatch::now_ns();
-      std::vector<Tensor> outputs = eval_node(n, inputs, ctx);
+      std::vector<Tensor> outputs = rt::eval_planned(
+          n, inputs, ctx, planned ? &sink : nullptr, arena_base,
+          slots_.outs(0, 0, id), &wp.allocs_avoided);
       const std::int64_t t1 = Stopwatch::now_ns();
       wp.busy_ns += t1 - t0;
       ++wp.tasks;
@@ -134,14 +172,19 @@ std::vector<TensorMap> SequentialExecutor::run(
       }
       for (std::size_t i = 0; i < outputs.size(); ++i) {
         const ValueId ov = n.outputs[i];
-        if (is_graph_output(g, ov)) {
-          results[static_cast<std::size_t>(s)].emplace(g.value(ov).name,
-                                                       outputs[i]);
+        if (is_output_[static_cast<std::size_t>(ov)]) {
+          // Results outlive the sample's slots: detach arena-backed ones.
+          out.emplace(g.value(ov).name, outputs[i].owns_storage()
+                                            ? outputs[i]
+                                            : outputs[i].clone());
         }
-        local[ov] = std::move(outputs[i]);
+        values[static_cast<std::size_t>(ov)] = std::move(outputs[i]);
       }
     }
   }
+  inputs.clear();
+  values.clear();  // drop arena views before the next run may take the arena
+  if (arena_lock.owns_lock()) arena_lock.unlock();
 
   const std::int64_t run_t1 = Stopwatch::now_ns();
   record_run_metrics({wp}, wall.millis());
@@ -224,29 +267,42 @@ int ParallelExecutor::add_program_locked(ExecutorProgram program) {
     }
   }
 
+  // Remote consumers per (sample, node) task, deduplicated per output.
+  const Graph& g = *prog->graph;
+  const int nodes = prog->hc.num_nodes;
+  prog->send_begin.reserve(static_cast<std::size_t>(prog->hc.batch) *
+                               static_cast<std::size_t>(nodes) +
+                           1);
+  for (int s = 0; s < prog->hc.batch; ++s) {
+    for (NodeId id = 0; id < nodes; ++id) {
+      prog->send_begin.push_back(static_cast<std::int32_t>(prog->sends.size()));
+      const int me = prog->hc.worker(id, s);
+      if (me < 0) continue;
+      const Node& n = g.node(id);
+      for (std::size_t i = 0; i < n.outputs.size(); ++i) {
+        std::set<int> destinations;
+        for (NodeId c : g.value(n.outputs[i]).consumers) {
+          if (g.node(c).dead) continue;
+          const int wc = prog->hc.worker(c, s);
+          if (wc != me && wc >= 0) destinations.insert(wc);
+        }
+        for (int dest : destinations) {
+          prog->sends.push_back(Send{static_cast<std::int32_t>(i), dest});
+        }
+      }
+    }
+  }
+  prog->send_begin.push_back(static_cast<std::int32_t>(prog->sends.size()));
+
   if (program.mem_plan != nullptr && !program.mem_plan->empty()) {
     RAMIEL_CHECK(static_cast<int>(program.mem_plan->workers.size()) == k,
                  "memory plan was computed for a different hyperclustering");
     prog->plan = *program.mem_plan;
     prog->arenas = std::vector<mem::MemArena>(static_cast<std::size_t>(k));
-    prog->node_slots.resize(static_cast<std::size_t>(k));
+    prog->slots = rt::SlotTable(g, prog->plan);
     for (int w = 0; w < k; ++w) {
       const mem::WorkerPlan& wp =
           prog->plan.workers[static_cast<std::size_t>(w)];
-      auto& per_sample = prog->node_slots[static_cast<std::size_t>(w)];
-      per_sample.resize(static_cast<std::size_t>(prog->hc.batch));
-      for (int s = 0; s < prog->hc.batch; ++s) {
-        const mem::StreamPlan& sp = wp.streams[static_cast<std::size_t>(s)];
-        const std::int64_t base = wp.stream_base[static_cast<std::size_t>(s)];
-        for (const mem::ValueSlot& slot : sp.slots) {
-          const NodeId producer = prog->graph->value(slot.value).producer;
-          per_sample[static_cast<std::size_t>(s)][producer].push_back(
-              PlannedOut{slot.value,
-                         static_cast<std::size_t>(base + slot.offset) /
-                             sizeof(float),
-                         slot.numel, slot.dtype, slot.in_place});
-        }
-      }
       obs::registry()
           .gauge("ramiel_mem_planned_peak_bytes",
                  "Planned arena capacity for a worker's streams",
@@ -300,7 +356,7 @@ void ParallelExecutor::remove_program(int program) {
   // Free the retired model's memory; streams stay (cheap) so ids and
   // diagnostics remain stable.
   prog.arenas.clear();
-  prog.node_slots.clear();
+  prog.slots = rt::SlotTable{};
   prog.plan = mem::MemPlan{};
 }
 
@@ -502,31 +558,10 @@ void ParallelExecutor::execute_tasks(int me, Program& prog, RunState& st,
       return false;  // input not yet delivered
     }
 
-    // Planned outputs of this task, if any: prime the sink so the kernel's
-    // output allocations land in their arena slots.
-    const std::vector<PlannedOut>* planned_outs = nullptr;
-    if (planned) {
-      const auto& table = prog.node_slots[static_cast<std::size_t>(me)][su];
-      auto pit = table.find(id);
-      if (pit != table.end()) planned_outs = &pit->second;
-    }
-
     const std::int64_t t0 = Stopwatch::now_ns();
-    std::vector<Tensor> outputs;
-    if (planned) {
-      sink.clear();
-      if (planned_outs != nullptr) {
-        for (const PlannedOut& po : *planned_outs) {
-          sink.add(arena_base + po.offset_floats,
-                   static_cast<std::size_t>(po.numel), po.dtype, po.in_place);
-        }
-      }
-      mem::ScopedAllocSink guard(&sink);
-      outputs = eval_node(n, inputs, ctx);
-      wp.allocs_avoided += sink.taken();
-    } else {
-      outputs = eval_node(n, inputs, ctx);
-    }
+    std::vector<Tensor> outputs = rt::eval_planned(
+        n, inputs, ctx, planned ? &sink : nullptr, arena_base,
+        prog.slots.outs(me, s, id), &wp.allocs_avoided);
     const std::int64_t t1 = Stopwatch::now_ns();
     wp.busy_ns += t1 - t0;
     ++wp.tasks;
@@ -535,24 +570,13 @@ void ParallelExecutor::execute_tasks(int me, Program& prog, RunState& st,
           TaskEvent{id, s, me, t0, t1});
     }
 
+    const std::size_t task_row =
+        su * static_cast<std::size_t>(prog.hc.num_nodes) +
+        static_cast<std::size_t>(id);
+    auto send = prog.sends.begin() + prog.send_begin[task_row];
+    const auto send_end = prog.sends.begin() + prog.send_begin[task_row + 1];
     for (std::size_t i = 0; i < outputs.size(); ++i) {
       const ValueId ov = n.outputs[i];
-      // Insurance against an op aliasing its input without being in the
-      // planner's alias list: a planned, non-in-place output sharing storage
-      // with an input would have its bytes reused while the alias class
-      // still needs them — detach it to the heap instead.
-      if (planned_outs != nullptr) {
-        for (const PlannedOut& po : *planned_outs) {
-          if (po.value != ov || po.in_place) continue;
-          for (const Tensor& in : inputs) {
-            if (outputs[i].shares_storage_with(in)) {
-              outputs[i] = outputs[i].clone();
-              break;
-            }
-          }
-          break;
-        }
-      }
       if (is_graph_output(g, ov)) {
         // Results outlive the run; arena-backed tensors must not (their
         // slots are rewritten by the next run), so detach them here.
@@ -562,14 +586,10 @@ void ParallelExecutor::execute_tasks(int me, Program& prog, RunState& st,
         st.results[su].emplace(g.value(ov).name, std::move(out));
       }
       // Send to every other worker that consumes this value for this
-      // sample (deduplicated).
-      std::set<int> destinations;
-      for (NodeId c : g.value(ov).consumers) {
-        if (g.node(c).dead) continue;
-        const int wc = prog.hc.worker(c, s);
-        if (wc != me && wc >= 0) destinations.insert(wc);
-      }
-      for (int dest : destinations) {
+      // sample.
+      for (; send != send_end && send->output == static_cast<std::int32_t>(i);
+           ++send) {
+        const int dest = send->dest;
         // Stamp before the put: the receiver can consume (and stamp its
         // recv_ns) the instant put releases the inbox lock, so stamping
         // after would let recv_ns precede send_ns under scheduling delay.

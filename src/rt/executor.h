@@ -2,7 +2,9 @@
 //
 // SequentialExecutor is the single-core reference the paper's Ramiel also
 // generates ("a single core non-parallel version of the code"). It runs the
-// whole batch back to back on one thread.
+// whole batch back to back on one thread, on a compile-time memory plan of
+// its own: one stream in topological order, planned once at construction and
+// reused by every sample of every run.
 //
 // ParallelExecutor is the analogue of the generated parallel Python: one
 // worker thread per (hyper)cluster, cross-cluster tensors delivered through
@@ -51,6 +53,7 @@
 #include "passes/hypercluster.h"
 #include "rt/executor_kind.h"
 #include "rt/mailbox.h"
+#include "rt/planned.h"
 #include "rt/profiler.h"
 #include "tensor/tensor.h"
 
@@ -97,20 +100,39 @@ class Executor {
 };
 
 /// Single-threaded reference executor.
+///
+/// The constructor plans memory for a one-worker, batch-1 hyperclustering of
+/// the graph's topological order (mem::plan_memory). Samples run back to
+/// back, so that one stream region is reused by every sample of every run:
+/// intermediates live in a persistent arena (which also holds kernel
+/// scratch) instead of being allocated and faulted in per sample. Graph
+/// outputs stay on the heap, and values without a usable shape fall back to
+/// it on their own. The arena serves one run at a time; a caller that finds
+/// it busy runs on the heap instead, with bitwise-equal results.
 class SequentialExecutor {
  public:
   /// The graph must outlive the executor.
   explicit SequentialExecutor(const Graph* graph);
 
   /// Runs every sample in `batch_inputs` back to back; returns per-sample
-  /// graph outputs keyed by value name. Fills *profile when non-null.
+  /// graph outputs keyed by value name. Fills *profile when non-null. Safe
+  /// to call from several threads at once.
   std::vector<TensorMap> run(const std::vector<TensorMap>& batch_inputs,
                              const RunOptions& options = {},
                              Profile* profile = nullptr) const;
 
+  /// Bytes the arena holds for planned slots and kernel scratch (0 before
+  /// the first run). Waits for a run that holds the arena.
+  std::size_t arena_bytes_allocated() const;
+
  private:
   const Graph* graph_;
   std::vector<NodeId> order_;
+  std::vector<char> is_output_;  // by ValueId: the value is a graph output
+  std::int64_t planned_bytes_ = 0;  // the single stream region
+  rt::SlotTable slots_;
+  mutable std::mutex arena_mu_;  // held by the run using the arena
+  mutable mem::MemArena arena_;
 };
 
 /// One compiled program a ParallelExecutor hosts: the graph, its
@@ -201,16 +223,10 @@ class ParallelExecutor final : public Executor {
  private:
   struct RunState;
 
-  /// Arena placement of one planned output of a node: where the SlotSink
-  /// should put the kernel's allocation for it.
-  struct PlannedOut {
-    ValueId value;
-    std::size_t offset_floats;  // from the worker arena base (slots stay
-                                // 64-byte aligned, so float units are exact
-                                // for every dtype)
-    std::int64_t numel;
-    DType dtype;  // storage dtype the sink matches alongside numel
-    bool in_place;
+  /// One cross-worker delivery of a task output.
+  struct Send {
+    std::int32_t output;  // index into the node's outputs
+    std::int32_t dest;    // consuming worker
   };
 
   /// Everything one hosted model needs: per-worker per-sample streams, the
@@ -225,11 +241,15 @@ class ParallelExecutor final : public Executor {
     /// per worker of THIS program.
     mem::MemPlan plan;
     std::vector<mem::MemArena> arenas;
-    /// node_slots[worker][sample][node] = planned outputs of that task,
-    /// precomputed from the plan so the hot path is one hash lookup.
-    std::vector<
-        std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>
-        node_slots;
+    /// Planned outputs of every (worker, sample, node) task.
+    rt::SlotTable slots;
+    /// Remote consumers of each task's outputs: the entries of task
+    /// (node, sample) are sends[send_begin[r]..send_begin[r + 1]) with
+    /// r = sample * (node count) + node, ordered by output, then worker.
+    /// The task's own worker is fixed by the hyperclustering, so (node,
+    /// sample) names it.
+    std::vector<std::int32_t> send_begin;
+    std::vector<Send> sends;
     bool live = true;
     int workers() const { return static_cast<int>(hc.workers.size()); }
   };

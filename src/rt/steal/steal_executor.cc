@@ -7,6 +7,7 @@
 #include "graph/op_eval.h"
 #include "obs/metrics.h"
 #include "rt/exec_util.h"
+#include "rt/planned.h"
 #include "support/check.h"
 #include "support/stopwatch.h"
 #include "support/string_util.h"
@@ -73,24 +74,7 @@ StealExecutor::StealExecutor(const Graph* graph, Hyperclustering hc,
                  "memory plan was computed for a different hyperclustering");
     plan_ = *mem_plan;
     arenas_ = std::vector<mem::MemArena>(static_cast<std::size_t>(k));
-    node_slots_.resize(static_cast<std::size_t>(k));
-    for (int w = 0; w < k; ++w) {
-      const mem::WorkerPlan& wp = plan_.workers[static_cast<std::size_t>(w)];
-      auto& per_sample = node_slots_[static_cast<std::size_t>(w)];
-      per_sample.resize(static_cast<std::size_t>(hc_.batch));
-      for (int s = 0; s < hc_.batch; ++s) {
-        const mem::StreamPlan& sp = wp.streams[static_cast<std::size_t>(s)];
-        const std::int64_t base = wp.stream_base[static_cast<std::size_t>(s)];
-        for (const mem::ValueSlot& slot : sp.slots) {
-          const NodeId producer = graph_->value(slot.value).producer;
-          per_sample[static_cast<std::size_t>(s)][producer].push_back(
-              PlannedOut{slot.value,
-                         static_cast<std::size_t>(base + slot.offset) /
-                             sizeof(float),
-                         slot.numel, slot.dtype, slot.in_place});
-        }
-      }
-    }
+    slots_ = rt::SlotTable(*graph_, plan_);
   }
   scratch_arenas_ = std::vector<mem::MemArena>(static_cast<std::size_t>(k));
 
@@ -274,32 +258,15 @@ void StealExecutor::execute_task(int me, std::int32_t t, bool stolen,
       inputs.push_back(std::move(in));
     }
 
-    const bool planned = !plan_.empty();
-    const std::vector<PlannedOut>* planned_outs = nullptr;
-    if (planned) {
-      const auto& table =
-          node_slots_[static_cast<std::size_t>(task.home)]
-                     [static_cast<std::size_t>(s)];
-      auto pit = table.find(task.node);
-      if (pit != table.end()) planned_outs = &pit->second;
-    }
-
+    // Planned outputs land in the task's home stream slots, whichever
+    // thread runs it.
+    const rt::PlannedOuts outs = slots_.outs(task.home, s, task.node);
+    float* const arena_base =
+        outs.empty() ? nullptr
+                     : arenas_[static_cast<std::size_t>(task.home)].data();
     const std::int64_t t0 = Stopwatch::now_ns();
-    std::vector<Tensor> outputs;
-    {
-      sink.clear();
-      if (planned_outs != nullptr) {
-        float* const arena_base =
-            arenas_[static_cast<std::size_t>(task.home)].data();
-        for (const PlannedOut& po : *planned_outs) {
-          sink.add(arena_base + po.offset_floats,
-                   static_cast<std::size_t>(po.numel), po.dtype, po.in_place);
-        }
-      }
-      mem::ScopedAllocSink guard(&sink);
-      outputs = eval_node(n, inputs, ctx);
-      wp.allocs_avoided += sink.taken();
-    }
+    std::vector<Tensor> outputs = rt::eval_planned(
+        n, inputs, ctx, &sink, arena_base, outs, &wp.allocs_avoided);
     const std::int64_t t1 = Stopwatch::now_ns();
     wp.busy_ns += t1 - t0;
     if (st.options.trace) {
@@ -308,23 +275,7 @@ void StealExecutor::execute_task(int me, std::int32_t t, bool stolen,
     }
 
     for (std::size_t i = 0; i < outputs.size(); ++i) {
-      const ValueId ov = n.outputs[i];
-      // Same insurance as the static executor: an op aliasing its input
-      // without being in the planner's alias list must not adopt a
-      // non-in-place slot whose bytes the alias class still needs.
-      if (planned_outs != nullptr) {
-        for (const PlannedOut& po : *planned_outs) {
-          if (po.value != ov || po.in_place) continue;
-          for (const Tensor& in : inputs) {
-            if (outputs[i].shares_storage_with(in)) {
-              outputs[i] = outputs[i].clone();
-              break;
-            }
-          }
-          break;
-        }
-      }
-      values_[value_idx(ov)] = std::move(outputs[i]);
+      values_[value_idx(n.outputs[i])] = std::move(outputs[i]);
     }
   }
   ++wp.tasks;

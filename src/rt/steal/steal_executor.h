@@ -42,12 +42,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/arena.h"
 #include "mem/plan.h"
 #include "rt/executor.h"
+#include "rt/planned.h"
 #include "rt/steal/deque.h"
 #include "rt/steal/task_graph.h"
 
@@ -88,15 +88,6 @@ class StealExecutor final : public Executor {
  private:
   struct RunState;
 
-  /// Arena placement of one planned output (mirrors ParallelExecutor).
-  struct PlannedOut {
-    ValueId value;
-    std::size_t offset_floats;  // from the home worker's arena base
-    std::int64_t numel;
-    DType dtype;  // storage dtype the sink matches alongside numel
-    bool in_place;
-  };
-
   void worker_loop(int me);
   void work(int me, RunState& st, const OpContext& ctx, mem::SlotSink& sink);
   void execute_task(int me, std::int32_t t, bool stolen, RunState& st,
@@ -112,9 +103,8 @@ class StealExecutor final : public Executor {
   /// by the *home* worker of a task (not the thread executing it).
   mem::MemPlan plan_;
   std::vector<mem::MemArena> arenas_;
-  /// node_slots_[home][sample][node] = planned outputs of that task.
-  std::vector<std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>
-      node_slots_;
+  /// Planned outputs of every (home, sample, node) task.
+  rt::SlotTable slots_;
   /// Per worker *thread* scratch arenas for kernel pack/im2col buffers.
   std::vector<mem::MemArena> scratch_arenas_;
 

@@ -40,7 +40,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,6 +48,7 @@
 #include "mem/plan.h"
 #include "passes/hypercluster.h"
 #include "rt/executor.h"
+#include "rt/planned.h"
 
 namespace ramiel::obs {
 class Gauge;
@@ -130,16 +130,8 @@ class PipelinedRunner {
   mem::MemPlan plan_;
   /// arenas_[stage][parity]; sized lazily on first use of each parity.
   std::vector<std::vector<mem::MemArena>> arenas_;
-  /// node_slots_[stage][sample][node] = planned outputs (see rt/executor).
-  struct PlannedOut {
-    ValueId value;
-    std::size_t offset_floats;
-    std::int64_t numel;
-    DType dtype;
-    bool in_place;
-  };
-  std::vector<std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>
-      node_slots_;
+  /// Planned outputs of every (stage, sample, node) task.
+  rt::SlotTable slots_;
 
   std::vector<obs::Gauge*> stage_busy_;
   obs::Counter* flights_total_ = nullptr;

@@ -1,8 +1,14 @@
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
 #include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
+#include "ramiel/pipeline.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
 #include "tensor/ops.h"
@@ -69,6 +75,77 @@ TEST(SequentialExecutor, ProfileAccountsForAllTasks) {
   EXPECT_EQ(profile.workers[0].tasks, 4);
   EXPECT_EQ(profile.events.size(), 4u);
   EXPECT_GT(profile.wall_ms, 0.0);
+}
+
+/// True when every output of `a` and `b` is equal byte for byte.
+bool bitwise_equal(const std::vector<TensorMap>& a,
+                   const std::vector<TensorMap>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    if (a[s].size() != b[s].size()) return false;
+    for (const auto& [key, value] : a[s]) {
+      auto it = b[s].find(key);
+      if (it == b[s].end() || it->second.shape() != value.shape() ||
+          it->second.dtype() != value.dtype() ||
+          std::memcmp(value.raw(), it->second.raw(),
+                      static_cast<std::size_t>(value.byte_size())) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SequentialExecutor, GraphWithoutInferredShapesRunsOnTheHeap) {
+  // The diamond of test_util without shape inference: every intermediate
+  // keeps the default rank-0 shape, so no planned slot fits what the
+  // kernels allocate and the whole run falls back to the heap.
+  Graph g("diamond_unshaped");
+  ValueId in = g.add_value("x", Shape{1, 4});
+  g.mark_input(in);
+  NodeId a = g.add_node(OpKind::kRelu, "a", {in});
+  NodeId b = g.add_node(OpKind::kSigmoid, "b", {g.node(a).outputs[0]});
+  NodeId c = g.add_node(OpKind::kTanh, "c", {g.node(a).outputs[0]});
+  NodeId d = g.add_node(OpKind::kAdd, "d",
+                        {g.node(b).outputs[0], g.node(c).outputs[0]});
+  g.mark_output(g.node(d).outputs[0]);
+  ASSERT_EQ(g.value(g.node(a).outputs[0]).shape.rank(), 0);
+
+  Graph shaped = testing::make_diamond_graph();
+  Rng rng(4);
+  auto inputs = make_example_inputs(shaped, 2, rng);
+  SequentialExecutor unshaped_exec(&g);
+  SequentialExecutor shaped_exec(&shaped);
+  Profile heap_profile, arena_profile;
+  auto got = unshaped_exec.run(inputs, {}, &heap_profile);
+  auto want = shaped_exec.run(inputs, {}, &arena_profile);
+  EXPECT_EQ(heap_profile.workers[0].allocs_avoided, 0);
+  EXPECT_GT(arena_profile.workers[0].allocs_avoided, 0);
+  EXPECT_TRUE(bitwise_equal(want, got));
+}
+
+TEST(SequentialExecutor, ConcurrentCallersGetBitwiseEqualResults) {
+  PipelineOptions opts;
+  opts.generate_code = false;
+  CompiledModel cm = compile_model(models::build("squeezenet"), opts);
+  Rng rng(6);
+  auto inputs = make_example_inputs(cm.graph, 2, rng);
+  const SequentialExecutor seq(&cm.graph);
+  const auto want = seq.run(inputs);
+
+  // One caller holds the arena, the other runs on the heap whenever it
+  // finds the arena busy; both must produce the reference bits.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 3; ++i) {
+        if (!bitwise_equal(want, seq.run(inputs))) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ParallelExecutor, MatchesSequentialOnDiamond) {

@@ -22,6 +22,7 @@
 #include "mem/plan.h"
 #include "mem/planner.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
@@ -389,6 +390,106 @@ TEST(MemPlan, ReachesReuseTargetOnMostZooModels) {
     if (frac <= 0.60) ++hit;
   }
   EXPECT_GE(hit, 6) << "planned peak should be <= 60% of naive on most models";
+}
+
+// ------------------------------------------------ sequential executor ----
+
+/// Every output of `got` equals `want` byte for byte and owns its storage.
+void expect_bitwise(const std::vector<TensorMap>& want,
+                    const std::vector<TensorMap>& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    ASSERT_EQ(want[s].size(), got[s].size()) << what;
+    for (const auto& [key, tensor] : want[s]) {
+      ASSERT_TRUE(got[s].count(key)) << what << "/" << key;
+      const Tensor& other = got[s].at(key);
+      ASSERT_EQ(tensor.shape(), other.shape()) << what << "/" << key;
+      ASSERT_EQ(tensor.dtype(), other.dtype()) << what << "/" << key;
+      EXPECT_TRUE(other.owns_storage())
+          << what << "/" << key << " result must not point into an arena";
+      EXPECT_EQ(std::memcmp(tensor.raw(), other.raw(),
+                            static_cast<std::size_t>(tensor.byte_size())),
+                0)
+          << what << "/" << key << " sample " << s;
+    }
+  }
+}
+
+void expect_sequential_matches_heap_parallel(DType dtype) {
+  Rng rng(11);
+  for (const std::string& name : models::model_names()) {
+    PipelineOptions opts = planned_options(2);
+    opts.dtype = dtype;
+    CompiledModel cm = compile_model(models::build(name), opts);
+    auto inputs = make_example_inputs(cm.graph, 2, rng);
+    ParallelExecutor heap(&cm.graph, cm.hyperclusters, nullptr);
+    SequentialExecutor seq(&cm.graph);
+    Profile profile;
+    auto got = seq.run(inputs, {}, &profile);
+    expect_bitwise(heap.run(inputs), got, name);
+    ASSERT_EQ(profile.workers.size(), 1u);
+    EXPECT_GT(profile.workers[0].allocs_avoided, 0) << name;
+    EXPECT_GT(seq.arena_bytes_allocated(), 0u) << name;
+  }
+}
+
+TEST(MemSequential, BitIdenticalToHeapParallelOnEveryZooModelF32) {
+  expect_sequential_matches_heap_parallel(DType::kF32);
+}
+
+TEST(MemSequential, BitIdenticalToHeapParallelOnEveryZooModelI8) {
+  expect_sequential_matches_heap_parallel(DType::kI8);
+}
+
+TEST(MemSequential, ArenaIsReusedAcrossRunsAndEarlierResultsSurvive) {
+  CompiledModel cm =
+      compile_model(models::build("googlenet"), planned_options(2));
+  Rng rng(5);
+  auto in1 = make_example_inputs(cm.graph, 2, rng);
+  auto in2 = make_example_inputs(cm.graph, 2, rng);
+  SequentialExecutor seq(&cm.graph);
+  EXPECT_EQ(seq.arena_bytes_allocated(), 0u);
+
+  auto first = seq.run(in1);
+  const std::size_t capacity = seq.arena_bytes_allocated();
+  EXPECT_GT(capacity, 0u);
+  std::vector<TensorMap> snapshot(first.size());
+  for (std::size_t s = 0; s < first.size(); ++s) {
+    for (const auto& [key, tensor] : first[s]) {
+      snapshot[s].emplace(key, tensor.clone());
+    }
+  }
+
+  auto second = seq.run(in2);
+  auto third = seq.run(in1);
+  EXPECT_EQ(seq.arena_bytes_allocated(), capacity);
+  expect_bitwise(snapshot, first, "run 1 after runs 2 and 3");
+  expect_bitwise(first, third, "same inputs, later run");
+  bool differs = false;
+  for (const auto& [key, tensor] : first[0]) {
+    differs |= std::memcmp(tensor.raw(), second[0].at(key).raw(),
+                           static_cast<std::size_t>(tensor.byte_size())) != 0;
+  }
+  EXPECT_TRUE(differs) << "run 2 had other inputs; its outputs should differ";
+}
+
+TEST(MemSequential, CountsAllocationsServedFromTheArena) {
+  CompiledModel cm =
+      compile_model(models::build("squeezenet"), planned_options(1));
+  Rng rng(9);
+  auto inputs = make_example_inputs(cm.graph, 1, rng);
+  SequentialExecutor seq(&cm.graph);
+  obs::Counter* avoided = obs::registry().counter(
+      "ramiel_mem_alloc_avoided_total",
+      "Kernel output allocations served from a planned arena slot");
+  const std::uint64_t before = avoided->value();
+  Profile profile;
+  seq.run(inputs, {}, &profile);
+  ASSERT_EQ(profile.workers.size(), 1u);
+  EXPECT_GT(profile.workers[0].allocs_avoided, 0);
+  EXPECT_EQ(avoided->value() - before,
+            static_cast<std::uint64_t>(profile.workers[0].allocs_avoided));
 }
 
 // ----------------------------------------------------------- serving ----

@@ -16,20 +16,24 @@
 //              [--executor static|steal] [--mem-plan off|arena]
 //              [--trace-out FILE] [--profile FILE]
 //       Executes sequentially + in parallel (real threads), verifies the
-//       outputs agree, and prints simulated multicore timings. --trace-out
-//       writes a unified Chrome trace-event JSON — compile passes on the
-//       compiler track plus the parallel run's task spans, message-flow
-//       arrows and inbox-depth counters — for Perfetto / chrome://tracing
-//       slack inspection; when --profile is also given, spans on the
+//       outputs agree, and prints simulated multicore timings. Each executor
+//       runs once to warm up; the host wall line is the median of 5 runs.
+//       --trace-out writes a unified Chrome trace-event JSON — compile
+//       passes on the compiler track plus the parallel run's task spans,
+//       message-flow arrows and inbox-depth counters — for Perfetto /
+//       chrome://tracing slack inspection; when --profile is also given, spans on the
 //       realized critical path are recolored (cat "task.critical").
 //       --profile runs the critical-path profiler on the parallel run:
 //       prints the latency attribution summary (compute/comm/queue/idle
 //       decomposition, top ops by critical-path time, what-if estimates)
 //       and writes the full CriticalPathReport JSON to FILE ("-" for
 //       stdout-only). --mem-plan arena (the default; env override
-//       RAMIEL_MEM_PLAN) backs intermediates with the static arena plan.
+//       RAMIEL_MEM_PLAN) backs the parallel executor's intermediates with the
+//       static arena plan; the sequential executor always runs on its own
+//       single-stream plan.
 //       --executor steal (env override RAMIEL_EXECUTOR) runs the batch on
 //       the work-stealing runtime instead of the static cluster placement.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -294,9 +298,24 @@ int cmd_run(const Cli& cli) {
   run_opts.intra_op_threads = cli.threads;
   run_opts.trace = !cli.trace_out.empty() || !cli.profile_out.empty();
 
+  // One untimed warm-up run per executor (arenas, pools and page faults),
+  // then kTimedRuns timed runs each; the host wall line reports medians and
+  // the profile, trace and output check use the last run.
+  constexpr int kTimedRuns = 5;
+  auto a = seq.run(inputs, run_opts);
+  auto b = par->run(inputs, run_opts);
   Profile sp, pp;
-  auto a = seq.run(inputs, run_opts, &sp);
-  auto b = par->run(inputs, run_opts, &pp);
+  std::vector<double> seq_ms, par_ms;
+  for (int i = 0; i < kTimedRuns; ++i) {
+    a = seq.run(inputs, run_opts, &sp);
+    seq_ms.push_back(sp.wall_ms);
+    b = par->run(inputs, run_opts, &pp);
+    par_ms.push_back(pp.wall_ms);
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
 
   prof::CriticalPathReport report;
   if (!cli.profile_out.empty()) {
@@ -344,8 +363,9 @@ int cmd_run(const Cli& cli) {
   } else {
     std::printf("executor      : static (%d workers)\n", par->num_workers());
   }
-  std::printf("host wall     : seq %.1f ms, par %.1f ms (recv slack %.1f ms)\n",
-              sp.wall_ms, pp.wall_ms, pp.total_slack_ms());
+  std::printf("host wall     : seq %.1f ms, par %.1f ms (median of %d warm"
+              " runs; recv slack %.1f ms)\n",
+              median(seq_ms), median(par_ms), kTimedRuns, pp.total_slack_ms());
   if (par->mem_plan_enabled()) {
     int avoided = 0;
     for (const WorkerProfile& w : pp.workers) avoided += w.allocs_avoided;
